@@ -25,30 +25,41 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"wsncover/internal/dispatch"
 )
 
 func main() {
-	tol := flag.Float64("tol", 1e-9, "relative tolerance for mean/stddev/CI95")
-	flag.Parse()
-	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: manifestdiff [-tol t] a.json b.json")
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its exit status returned instead of exited.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("manifestdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tol := fs.Float64("tol", 1e-9, "relative tolerance for mean/stddev/CI95")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	diffs, err := dispatch.DiffManifests(flag.Arg(0), flag.Arg(1), *tol)
+	if fs.NArg() != 2 {
+		fmt.Fprintln(stderr, "usage: manifestdiff [-tol t] a.json b.json")
+		return 2
+	}
+	a, b := fs.Arg(0), fs.Arg(1)
+	diffs, err := dispatch.DiffManifests(a, b, *tol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "manifestdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "manifestdiff:", err)
+		return 2
 	}
 	if len(diffs) > 0 {
 		for _, d := range diffs {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		fmt.Printf("%d difference(s) between %s and %s\n", len(diffs), flag.Arg(0), flag.Arg(1))
-		os.Exit(1)
+		fmt.Fprintf(stdout, "%d difference(s) between %s and %s\n", len(diffs), a, b)
+		return 1
 	}
-	fmt.Printf("%s and %s are equivalent (modulo estimated medians and execution metadata)\n",
-		flag.Arg(0), flag.Arg(1))
+	fmt.Fprintf(stdout, "%s and %s are equivalent (modulo estimated medians and execution metadata)\n", a, b)
+	return 0
 }

@@ -19,6 +19,16 @@ import (
 // writeManifest persists a one-point manifest and returns its path.
 func writeManifest(t *testing.T, dir, name string, mean float64) string {
 	t.Helper()
+	if _, err := testManifest(t, name, mean).Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(dir, name+".json")
+}
+
+// testManifest is a one-point campaign manifest whose moves mean is
+// mean.
+func testManifest(t *testing.T, name string, mean float64) *experiment.Manifest {
+	t.Helper()
 	spec := sim.CampaignSpec{
 		Schemes: []sim.SchemeKind{sim.SR}, Grids: []sim.GridSize{{Cols: 8, Rows: 8}},
 		Spares: []int{8}, Replicates: 4, BaseSeed: 1,
@@ -33,10 +43,7 @@ func writeManifest(t *testing.T, dir, name string, mean float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(dir, name+".json")
+	return m
 }
 
 // buildLedger writes three records: two equivalent runs of one campaign
@@ -186,7 +193,7 @@ func TestRunlogBench(t *testing.T) {
 }
 
 // buildStore populates a sweepd store with one ledgered manifest and
-// one installed by hand (no ledger line).
+// one stored by hand (no ledger line).
 func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	t.Helper()
 	dir = filepath.Join(t.TempDir(), "store")
@@ -194,11 +201,11 @@ func buildStore(t *testing.T) (dir string, ledgered, bare string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := writeManifest(t, t.TempDir(), "daemon-run", 5)
+	m := testManifest(t, "daemon-run", 5)
 	ledgered = "sha256:" + strings.Repeat("aa", 32)
 	bare = "sha256:" + strings.Repeat("bb", 32)
 	for _, h := range []string{ledgered, bare} {
-		if _, err := store.Install(h, src); err != nil {
+		if _, err := store.Put(h, m); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -155,7 +155,8 @@ func TestCheckpointResumeAfterKill(t *testing.T) {
 	// after its third trial — the moment the first cell completes and
 	// checkpoints.
 	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "WSNSWEEP_WORKER=1", "WSNSWEEP_EXIT_AFTER=3")
+	cmd.Env = append(os.Environ(), "WSNSWEEP_WORKER=1",
+		"WSNSWEEP_CHAOS=crash", "WSNSWEEP_CHAOS_AFTER=3", "WSNSWEEP_CHAOS_DIR=")
 	out, err := cmd.CombinedOutput()
 	var exitErr *exec.ExitError
 	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 7 {
@@ -306,7 +307,7 @@ func TestDispatchRetriesDeadWorkerAndResumes(t *testing.T) {
 s=$1; shift
 if [ "$s" = "1" ] && [ ! -e "`+died+`" ]; then
   touch "`+died+`"
-  export WSNSWEEP_EXIT_AFTER=3
+  export WSNSWEEP_CHAOS=crash WSNSWEEP_CHAOS_AFTER=3 WSNSWEEP_CHAOS_DIR=
 fi
 exec "$@"
 `), 0o755); err != nil {

@@ -105,8 +105,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -120,6 +118,7 @@ import (
 	"syscall"
 	"time"
 
+	"wsncover/internal/campaign"
 	"wsncover/internal/dispatch"
 	"wsncover/internal/experiment"
 	"wsncover/internal/sim"
@@ -200,62 +199,6 @@ func (e *fleetJSON) update(snap dispatch.FleetSnapshot) {
 	e.w.Write(snap.Fleet.MarshalLine())
 }
 
-// checkpointer rewrites the manifest after every completed campaign
-// cell, atomically (tmp + rename), so a run killed mid-campaign leaves
-// a valid partial manifest at the real path for -resume to pick up.
-// Only fully completed (group, N) cells are written: -resume skips
-// whole cells, so a partial cell's trials would be rerun anyway.
-type checkpointer struct {
-	path      string // final manifest path; checkpoints land here atomically
-	name      string
-	spec      sim.CampaignSpec
-	prior     []experiment.Point
-	priorJobs int
-	workers   int
-	acc       *experiment.Accumulator
-	cellTotal map[resumeKey]int
-	cellDone  map[resumeKey]int
-	completed map[resumeKey]bool
-	doneJobs  int
-	log       *slog.Logger
-}
-
-// trialDone records one finished trial; when its cell completes, the
-// manifest checkpoint is rewritten.
-func (c *checkpointer) trialDone(k resumeKey) error {
-	c.cellDone[k]++
-	if c.cellDone[k] < c.cellTotal[k] {
-		return nil
-	}
-	c.completed[k] = true
-	c.doneJobs += c.cellTotal[k]
-	if err := c.write(); err != nil {
-		return err
-	}
-	c.log.Debug("checkpoint written",
-		"manifest", c.path, "group", k.group, "x", k.x,
-		"cells", len(c.completed), "done_jobs", c.doneJobs)
-	return nil
-}
-
-func (c *checkpointer) write() error {
-	pts := make([]experiment.Point, 0, len(c.completed))
-	for _, p := range c.acc.Points() {
-		if c.completed[resumeKey{p.Group, p.X}] {
-			pts = append(pts, p)
-		}
-	}
-	pts = mergePoints(c.prior, pts)
-	manifest, err := experiment.NewManifest(c.name, c.spec, c.priorJobs+c.doneJobs, c.workers, pts)
-	if err != nil {
-		return err
-	}
-	// WriteAtomic uses a uniquely named temp file, so two attempts at the
-	// same shard (a straggler and its speculative duplicate sharing the
-	// out directory) never clobber each other's in-flight checkpoint.
-	return manifest.WriteAtomic(c.path)
-}
-
 // dashNotify is a test hook: when set, it runs with the dashboard's
 // bound address (and its hub) after the server starts and before the
 // campaign does, so a test can subscribe ahead of the first event.
@@ -308,42 +251,6 @@ func (d *dashRig) finish(runErr error) {
 		time.Sleep(d.linger)
 	}
 	d.server.Close()
-}
-
-// shardViews and groupViews convert a fleet snapshot's vectors into the
-// telemetry package's wire shapes — the conversion lives here because
-// telemetry must not import dispatch (the dependency runs the other
-// way: nothing below the command layer knows about the dashboard).
-func shardViews(shards []dispatch.ShardStatus) []telemetry.ShardView {
-	now := time.Now()
-	out := make([]telemetry.ShardView, len(shards))
-	for i, s := range shards {
-		out[i] = telemetry.ShardView{
-			Shard:    s.Shard,
-			State:    s.State.String(),
-			Done:     s.Progress.Done,
-			Total:    s.Progress.Total,
-			Attempts: s.Attempts,
-			Slot:     s.Slot,
-			Leases:   s.Leases,
-			BeatAgeS: -1,
-		}
-		if s.Attempts > 1 {
-			out[i].Retries = s.Attempts - 1
-		}
-		if !s.LastBeat.IsZero() {
-			out[i].BeatAgeS = now.Sub(s.LastBeat).Seconds()
-		}
-	}
-	return out
-}
-
-func groupViews(groups []dispatch.GroupProgress) []telemetry.GroupView {
-	out := make([]telemetry.GroupView, len(groups))
-	for i, g := range groups {
-		out[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
-	}
-	return out
 }
 
 // fleetStats rides the dispatch progress callback and captures what the
@@ -402,29 +309,35 @@ func resolveLedger(flagVal, outDir string) string {
 	return flagVal
 }
 
-// installCached copies a finished manifest into the -if-cached store so
-// the next run of the same spec is a hit; a nil store is a no-op.
-func installCached(store *sweepd.Store, hash, manifestPath string, logger *slog.Logger) error {
+// putCached puts a finished manifest in the -if-cached store so the
+// next run of the same spec is a hit; a nil store is a no-op.
+func putCached(store *sweepd.Store, hash string, m *experiment.Manifest, logger *slog.Logger) error {
 	if store == nil {
 		return nil
 	}
-	stored, err := store.Install(hash, manifestPath)
+	stored, err := store.Put(hash, m)
 	if err != nil {
-		return fmt.Errorf("installing manifest in store: %w", err)
+		return fmt.Errorf("putting manifest in store: %w", err)
 	}
-	logger.Info("manifest installed in store", "hash", hash, "path", stored)
+	logger.Info("manifest put in store", "hash", hash, "path", stored)
 	return nil
 }
 
-// appendLedger hashes the spec, appends the record, and logs it; a
-// ledger failure is reported but never fails a completed campaign.
+// appendLedger stamps the record with the spec hash and this process's
+// CPU time (reaped dispatch workers included), appends it, and logs
+// it; an empty path (-ledger none) skips it. A ledger failure is
+// reported but never fails a completed campaign.
 func appendLedger(path string, rec telemetry.Record, spec sim.CampaignSpec, logger *slog.Logger) {
+	if path == "" {
+		return
+	}
 	hash, err := telemetry.SpecHash(spec)
 	if err != nil {
 		logger.Error("ledger: hashing spec", "err", err)
 		return
 	}
 	rec.SpecHash = hash
+	rec.CPUS = telemetry.CPUSeconds()
 	if err := telemetry.AppendRecord(path, rec); err != nil {
 		logger.Error("ledger append failed", "path", path, "err", err)
 		return
@@ -458,82 +371,6 @@ func writeTables(w io.Writer, points []experiment.Point, metricsS, outDir, name 
 		}
 	}
 	return nil
-}
-
-// resumeKey identifies one aggregated campaign cell in a manifest.
-type resumeKey struct {
-	group string
-	x     float64
-}
-
-// resumeCompatible rejects a resume whose prior manifest was produced
-// under different trial physics or seeding: dimension lists may differ
-// freely (extending the campaign is the point of -resume, and the
-// dimensions are encoded in each point's group/X identity), but the
-// seed, replicate count, and pass-through trial parameters must match —
-// they change results without changing any (group, N) label, so a merge
-// would silently mix incomparable points and break the paired-seed
-// methodology.
-func resumeCompatible(priorSpec json.RawMessage, spec sim.CampaignSpec) error {
-	if len(priorSpec) == 0 {
-		return nil
-	}
-	var prev sim.CampaignSpec
-	if err := json.Unmarshal(priorSpec, &prev); err != nil {
-		return fmt.Errorf("unreadable spec in manifest: %w", err)
-	}
-	type pinned struct {
-		seed            int64
-		replicates      int
-		shardFirst      int
-		shardCount      int
-		commRange       float64
-		jamRadius       float64
-		adjacentHolesOK bool
-		arInitProb      float64
-		arMaxHops       int
-	}
-	pin := func(s sim.CampaignSpec) pinned {
-		s = s.Normalized()
-		// Resolve trial-level defaults an explicit spec may spell out,
-		// so "comm_range: 10" and an omitted comm_range compare equal.
-		if s.CommRange == 0 {
-			s.CommRange = sim.PaperCommRange
-		}
-		return pinned{
-			seed:            s.BaseSeed,
-			replicates:      s.Replicates,
-			shardFirst:      s.ShardFirst,
-			shardCount:      s.ShardCount,
-			commRange:       s.CommRange,
-			jamRadius:       s.JamRadius,
-			adjacentHolesOK: s.AdjacentHolesOK,
-			arInitProb:      s.ARInitProb,
-			arMaxHops:       s.ARMaxHops,
-		}
-	}
-	if a, b := pin(prev), pin(spec); a != b {
-		return fmt.Errorf("produced with %+v, current campaign has %+v; "+
-			"rerun with matching parameters or a fresh -name", a, b)
-	}
-	return nil
-}
-
-// mergePoints combines the retained points of a prior manifest with the
-// freshly computed ones and restores the canonical (group, X) order, so
-// a resumed manifest is indistinguishable from a single-run one. The
-// resume filter guarantees the two sets are disjoint.
-func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
-	merged := make([]experiment.Point, 0, len(prior)+len(fresh))
-	merged = append(merged, prior...)
-	merged = append(merged, fresh...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Group != merged[j].Group {
-			return merged[i].Group < merged[j].Group
-		}
-		return merged[i].X < merged[j].X
-	})
-	return merged
 }
 
 func splitList(s string) []string {
@@ -674,7 +511,7 @@ func loadSpec(path string) (sim.CampaignSpec, error) {
 // the ledger's stats capture; all ride the same serialized callback.
 // A fleet that fails or is aborted still gets its ledger record, with
 // Status saying how it ended, so the run history shows unhealthy runs.
-func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts dispatch.Options, metricsS string, ascii bool, progressMode string, logger *slog.Logger, rig *dashRig, ledPath string) error {
+func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts dispatch.Options, metricsS string, ascii bool, progressMode string, logger *slog.Logger, rig *dashRig, ledPath string) (*experiment.Manifest, error) {
 	outDir, name := opts.OutDir, opts.Name
 	var sinks []func(dispatch.FleetSnapshot)
 	if progressMode == "meter" {
@@ -684,22 +521,14 @@ func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts d
 	if progressMode == "json" {
 		// The initial event goes out before the fleet starts, carrying the
 		// full campaign total — the same contract our own workers honor.
-		total := 0
-		spec.Normalized().ExecutedJobs(nil, func(sim.TrialJob) { total++ })
-		progressOut.Write(experiment.Progress{Done: 0, Total: total}.MarshalLine())
+		progressOut.Write(experiment.Progress{Done: 0, Total: spec.NumJobs()}.MarshalLine())
 		fj := &fleetJSON{w: progressOut}
 		sinks = append(sinks, fj.update)
 	}
 	stats := newFleetStats()
 	sinks = append(sinks, stats.update)
 	if rig != nil {
-		sinks = append(sinks, func(s dispatch.FleetSnapshot) {
-			final := s.Terminal()
-			if !rig.pub.Due(final) {
-				return
-			}
-			rig.pub.Publish(s.Fleet, shardViews(s.Shards), groupViews(s.Groups), final)
-		})
+		sinks = append(sinks, dispatch.Publish(rig.pub))
 	}
 	opts.OnProgress = func(s dispatch.FleetSnapshot) {
 		for _, sink := range sinks {
@@ -708,65 +537,30 @@ func runDispatch(ctx context.Context, w io.Writer, spec sim.CampaignSpec, opts d
 	}
 	start := time.Now()
 	manifest, mergedSpec, err := dispatch.Run(ctx, spec, opts)
-	wall := time.Since(start)
+	res := campaign.Result{Name: name, Spec: spec, Wall: time.Since(start)}
 	if err != nil {
-		if ledPath != "" {
-			rec := telemetry.Record{
-				Name:    name,
-				Mode:    "dispatch",
-				Status:  runStatus(err),
-				Retries: stats.retries(),
-				WallS:   wall.Seconds(),
-				CPUS:    telemetry.CPUSeconds(),
-			}
-			appendLedger(ledPath, rec, spec, logger)
-		}
-		return err
+		rec := res.Record("dispatch", "", err)
+		rec.Retries = stats.retries()
+		appendLedger(ledPath, rec, spec, logger)
+		return nil, err
 	}
+	res.Spec, res.Manifest, res.Ran = mergedSpec, manifest, manifest.Jobs
 	path, err := manifest.Save(outDir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "dispatched fleet; merged into %s (%d jobs, %d points)\n",
 		path, manifest.Jobs, len(manifest.Points))
 	if err := writeTables(w, manifest.Points, metricsS, outDir, name, mergedSpec.Replicates, ascii); err != nil {
-		return err
+		return nil, err
 	}
 	if progressMode != "json" {
 		printSummary(w, manifest.Points)
 	}
-	if ledPath != "" {
-		rec := telemetry.Record{
-			Name:     name,
-			Mode:     "dispatch",
-			Status:   telemetry.StatusCompleted,
-			Manifest: path,
-			Jobs:     manifest.Jobs,
-			Points:   len(manifest.Points),
-			Workers:  mergedSpec.Workers,
-			Shards:   stats.shards,
-			Retries:  stats.retries(),
-			WallS:    wall.Seconds(),
-			// Workers are reaped children, so their CPU time is in here.
-			CPUS:         telemetry.CPUSeconds(),
-			GroupSeconds: stats.groupSpan.Seconds(),
-		}
-		if wall > 0 {
-			rec.TrialsPerS = float64(manifest.Jobs) / wall.Seconds()
-		}
-		appendLedger(ledPath, rec, mergedSpec, logger)
-	}
-	return nil
-}
-
-// runStatus classifies how a run ended for the ledger: a context
-// cancellation (SIGINT/SIGTERM drain, a second Ctrl-C racing the first)
-// is an abort; anything else is a failure.
-func runStatus(err error) string {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return telemetry.StatusAborted
-	}
-	return telemetry.StatusFailed
+	rec := res.Record("dispatch", path, nil)
+	rec.Shards, rec.Retries, rec.GroupSeconds = stats.shards, stats.retries(), stats.groupSpan.Seconds()
+	appendLedger(ledPath, rec, mergedSpec, logger)
+	return manifest, nil
 }
 
 // signalContext cancels the returned context on the first SIGINT or
@@ -1075,10 +869,11 @@ func run(args []string) (err error) {
 		}
 		ctx, stop := signalContext(logger)
 		defer stop()
-		if err := runDispatch(ctx, infoW, spec, dopts, *metricsS, *ascii, progressMode, logger, dash, ledPath); err != nil {
+		manifest, err := runDispatch(ctx, infoW, spec, dopts, *metricsS, *ascii, progressMode, logger, dash, ledPath)
+		if err != nil {
 			return err
 		}
-		return installCached(cacheStore, cacheHash, filepath.Join(*outDir, *name+".json"), logger)
+		return putCached(cacheStore, cacheHash, manifest, logger)
 	}
 	if *execS != "" {
 		return fmt.Errorf("-exec only applies to -dispatch")
@@ -1087,276 +882,116 @@ func run(args []string) (err error) {
 		return fmt.Errorf("-lease-timeout and -max-retries only apply to dispatch mode (-dispatch or -fleet)")
 	}
 
-	// -resume: load the existing manifest (if any) and mark its
-	// aggregated (group, N) cells as done, so only missing cells run.
+	// -resume: load the existing manifest (if any); its completed
+	// (group, N) cells are skipped and carried over, so only missing
+	// cells run.
 	manifestPath := filepath.Join(*outDir, *name+".json")
-	var priorPoints []experiment.Point
-	done := make(map[resumeKey]bool)
+	var prior *experiment.Manifest
 	if *resume {
-		data, err := os.ReadFile(manifestPath)
-		switch {
-		case err == nil:
-			var prior experiment.Manifest
-			if err := json.Unmarshal(data, &prior); err != nil {
-				return fmt.Errorf("resume manifest %s: %w", manifestPath, err)
-			}
-			if err := resumeCompatible(prior.Spec, spec); err != nil {
-				return fmt.Errorf("resume manifest %s: %w", manifestPath, err)
-			}
-			// Only prior cells inside the current job space count: they
-			// are skipped and retained. Orphans (cells of a dimension
-			// value the current spec dropped) are discarded so the
-			// written manifest stays consistent with its recorded spec.
-			current := make(map[resumeKey]bool)
-			js := spec.JobSpace()
-			for i := 0; i < js.Len(); i++ {
-				j := js.At(i)
-				current[resumeKey{j.Group(), float64(j.Spares)}] = true
-			}
-			orphans := 0
-			for _, p := range prior.Points {
-				if !current[resumeKey{p.Group, p.X}] {
-					orphans++
-					continue
-				}
-				priorPoints = append(priorPoints, p)
-				done[resumeKey{p.Group, p.X}] = true
-			}
-			if orphans > 0 {
-				logger.Info("resume: dropping cells outside the current spec",
-					"manifest", manifestPath, "orphans", orphans)
-			}
-		case os.IsNotExist(err):
-			// Nothing to resume from; run the full campaign.
-		default:
-			return err
+		if prior, err = campaign.LoadPrior(manifestPath, spec); err != nil {
+			return fmt.Errorf("resume manifest %s: %w", manifestPath, err)
 		}
 	}
-	var keep func(sim.TrialJob) bool
-	if len(done) > 0 {
-		keep = func(j sim.TrialJob) bool {
-			return !done[resumeKey{j.Group(), float64(j.Spares)}]
-		}
+	plan := campaign.NewPlan(*name, spec, prior)
+	if plan.Orphans > 0 {
+		logger.Info("resume: dropping cells outside the current spec",
+			"manifest", manifestPath, "orphans", plan.Orphans)
 	}
-
-	// Count the jobs that will actually run (after the shard and resume
-	// filters) and their per-group totals for the meter's breakdown.
-	// ExecutedJobs applies exactly the filter RunCampaignSubset executes,
-	// so the meter's — and the JSON protocol's — total always matches
-	// the delivered stream: under -shard it is the shard's own trial
-	// count, never the full campaign's replicate range.
-	executed := 0
-	groupTotal := make(map[string]int)
-	var groupOrder []string
-	spec.ExecutedJobs(keep, func(j sim.TrialJob) {
-		executed++
-		g := j.Group()
-		if _, ok := groupTotal[g]; !ok {
-			groupOrder = append(groupOrder, g)
-		}
-		groupTotal[g]++
-	})
-	// cellAll is every cell's expected trial count under the shard range
-	// alone (no resume filter): the checkpointer needs it to tell a
-	// completed cell from a partial one, and the Jobs accounting below
-	// needs it to credit resumed-over prior cells.
-	cellAll := make(map[resumeKey]int)
-	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		cellAll[resumeKey{j.Group(), float64(j.Spares)}]++
-	})
-	priorJobs := 0
-	for k := range done {
-		priorJobs += cellAll[k]
-	}
-	totalJobs := spec.NumJobs()
-	if spec.ShardCount > 0 {
-		// A shard manifest records the trials it represents: the ones
-		// this run executed plus the ones a resumed prior manifest
-		// already carried — never the full campaign's count, and never
-		// undercounting after a checkpointed retry.
-		totalJobs = executed + priorJobs
-	}
-	opts := experiment.Options{Workers: spec.Workers}
+	// Every progress observer is sized from the plan, so the meter's —
+	// and the JSON protocol's — total always matches the delivered
+	// stream: under -shard it is the shard's own trial count, never the
+	// full campaign's replicate range.
 	var meter *dispatch.Meter
 	if progressMode == "meter" {
-		meter = dispatch.NewMeter(os.Stderr, executed, groupTotal)
+		meter = dispatch.NewMeter(os.Stderr, plan.Executed, plan.GroupTotal)
 	}
 	var emitter *jsonProgress
-	if progressMode == "json" && executed > 0 {
-		emitter = newJSONProgress(progressOut, executed, groupTotal)
+	if progressMode == "json" && plan.Executed > 0 {
+		emitter = newJSONProgress(progressOut, plan.Executed, plan.GroupTotal)
 	}
 	// The dashboard tracker and the ledger's group timer ride the same
-	// ordered sink as the meter; with a dashboard the tracker does both
+	// ordered hook as the meter; with a dashboard the tracker does both
 	// jobs, without one a bare timer still feeds the ledger.
 	var tracker *telemetry.Tracker
 	var gtimer *telemetry.GroupTimer
 	switch {
 	case dash != nil:
-		tracker = telemetry.NewTracker(dash.pub, executed, groupOrder, groupTotal)
+		tracker = telemetry.NewTracker(dash.pub, plan.Executed, plan.GroupOrder, plan.GroupTotal)
 	case ledPath != "":
 		gtimer = telemetry.NewGroupTimer()
 	}
-	// Trials stream into online per-(group, N) accumulators: campaign
-	// memory is O(groups), not O(trials). The meter rides the same
-	// ordered sink, so its per-group counts advance deterministically.
-	acc := experiment.NewAccumulator()
-	var ck *checkpointer
+	// -checkpoint rewrites the manifest path itself after every
+	// completed cell, so a killed run leaves a prior for -resume.
+	ckPath := ""
 	if *checkpoint {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
-		}
-		ck = &checkpointer{
-			path:      manifestPath,
-			name:      *name,
-			spec:      spec,
-			prior:     priorPoints,
-			priorJobs: priorJobs,
-			workers:   opts.Workers,
-			acc:       acc,
-			cellTotal: cellAll,
-			cellDone:  make(map[resumeKey]int, len(cellAll)),
-			completed: make(map[resumeKey]bool, len(cellAll)),
-			log:       logger,
-		}
-	}
-	// Test-only crash hook: WSNSWEEP_EXIT_AFTER=k kills the process
-	// after k completed trials (checkpoint written first), simulating a
-	// worker dying mid-run for the dispatch failure-path tests. The
-	// richer WSNSWEEP_CHAOS fault injector lives in chaos.go.
-	exitAfter := 0
-	if s := os.Getenv("WSNSWEEP_EXIT_AFTER"); s != "" {
-		exitAfter, _ = strconv.Atoi(s)
+		ckPath = manifestPath
 	}
 	chaos := chaosFromEnv(logger)
-	ran := 0
 	ctx, stop := signalContext(logger)
 	defer stop()
-	start := time.Now()
-	err = sim.RunCampaignSubset(ctx, spec, opts, keep,
-		func(j sim.TrialJob, s experiment.Sample) error {
-			acc.Add(s)
-			ran++
-			group := j.Group()
-			if meter != nil {
-				meter.JobDone(group)
-			}
-			if emitter != nil {
-				emitter.emit(ran, group)
-			}
-			if tracker != nil {
-				tracker.TrialDone(group)
-			} else if gtimer != nil {
-				gtimer.Observe(group)
-			}
-			if ck != nil {
-				if err := ck.trialDone(resumeKey{group, float64(j.Spares)}); err != nil {
-					return err
-				}
-			}
-			if exitAfter > 0 && ran == exitAfter {
-				os.Exit(7)
-			}
-			if chaos != nil {
-				chaos.trialDone(ran)
-			}
-			return nil
-		})
-	wall := time.Since(start)
+	res, err := plan.Run(ctx, ckPath, func(group string, ran int) error {
+		if meter != nil {
+			meter.JobDone(group)
+		}
+		if emitter != nil {
+			emitter.emit(ran, group)
+		}
+		if tracker != nil {
+			tracker.TrialDone(group)
+		} else if gtimer != nil {
+			gtimer.Observe(group)
+		}
+		if chaos != nil {
+			chaos.trialDone(ran)
+		}
+		return nil
+	})
+	if tracker != nil {
+		tracker.Final()
+	}
+	mode := "run"
+	if spec.ShardCount > 0 {
+		mode = "shard"
+	}
 	if err != nil {
 		// A failed or drained run still records itself: the checkpoints
 		// the manifest path holds are only half the story, the ledger says
 		// how the run ended so cmd/runlog surfaces unhealthy history.
-		if tracker != nil {
-			tracker.Final()
-		}
-		if ledPath != "" {
-			mode := "run"
-			if spec.ShardCount > 0 {
-				mode = "shard"
-			}
-			rec := telemetry.Record{
-				Name:       *name,
-				Mode:       mode,
-				Status:     runStatus(err),
-				Jobs:       ran,
-				Workers:    spec.Workers,
-				ShardFirst: spec.ShardFirst,
-				ShardCount: spec.ShardCount,
-				WallS:      wall.Seconds(),
-				CPUS:       telemetry.CPUSeconds(),
-			}
-			if wall > 0 {
-				rec.TrialsPerS = float64(ran) / wall.Seconds()
-			}
-			appendLedger(ledPath, rec, spec, logger)
-		}
+		appendLedger(ledPath, res.Record(mode, "", err), spec, logger)
 		return err
 	}
-	if tracker != nil {
-		tracker.Final()
-	}
-	points := acc.Points()
-	if len(done) > 0 {
+	if plan.Resumed > 0 {
 		logger.Info("resume: skipped completed cells",
-			"manifest", manifestPath, "cells", len(done), "new_trials", acc.Samples())
-		points = mergePoints(priorPoints, points)
+			"manifest", manifestPath, "cells", plan.Resumed, "new_trials", res.Ran)
 	}
 
-	manifest, err := experiment.NewManifest(*name, spec, totalJobs, opts.Workers, points)
-	if err != nil {
-		return err
-	}
+	manifest := res.Manifest
 	path, err := manifest.Save(*outDir)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, totalJobs, len(points))
-	if err := installCached(cacheStore, cacheHash, path, logger); err != nil {
+	fmt.Fprintf(infoW, "wrote %s (%d jobs, %d points)\n", path, manifest.Jobs, len(manifest.Points))
+	if err := putCached(cacheStore, cacheHash, manifest, logger); err != nil {
 		return err
 	}
 
-	if err := writeTables(infoW, points, *metricsS, *outDir, *name, spec.Replicates, *ascii); err != nil {
+	if err := writeTables(infoW, manifest.Points, *metricsS, *outDir, *name, spec.Replicates, *ascii); err != nil {
 		return err
 	}
 
 	// A worker speaking the JSON protocol skips the per-point digest:
 	// its supervisor prints the merged campaign's once.
 	if progressMode != "json" {
-		printSummary(infoW, points)
+		printSummary(infoW, manifest.Points)
 	}
 
-	if ledPath != "" {
-		mode := "run"
-		if spec.ShardCount > 0 {
-			mode = "shard"
-		}
-		var groupS map[string]float64
-		switch {
-		case tracker != nil:
-			groupS = tracker.GroupSeconds()
-		case gtimer != nil:
-			groupS = gtimer.Seconds()
-		}
-		rec := telemetry.Record{
-			Name:         *name,
-			Mode:         mode,
-			Status:       telemetry.StatusCompleted,
-			Manifest:     path,
-			Jobs:         totalJobs,
-			Points:       len(points),
-			Workers:      spec.Workers,
-			ShardFirst:   spec.ShardFirst,
-			ShardCount:   spec.ShardCount,
-			WallS:        wall.Seconds(),
-			CPUS:         telemetry.CPUSeconds(),
-			GroupSeconds: groupS,
-		}
-		// Rate over trials actually executed: a resumed run is not
-		// credited with the cells it skipped.
-		if wall > 0 {
-			rec.TrialsPerS = float64(ran) / wall.Seconds()
-		}
-		appendLedger(ledPath, rec, spec, logger)
+	rec := res.Record(mode, path, nil)
+	switch {
+	case tracker != nil:
+		rec.GroupSeconds = tracker.GroupSeconds()
+	case gtimer != nil:
+		rec.GroupSeconds = gtimer.Seconds()
 	}
+	appendLedger(ledPath, rec, spec, logger)
 	return nil
 }

@@ -359,14 +359,15 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 		f.names[i] = blockName(opts.Name, n)
 		f.canonical[i] = filepath.Join(opts.OutDir, f.names[i]+".json")
 		specPath := filepath.Join(opts.OutDir, f.names[i]+".spec.json")
-		data, err := json.MarshalIndent(shSpec, "", "  ")
-		if err != nil {
-			return nil, none, fmt.Errorf("dispatch: marshal shard %d spec: %w", n, err)
-		}
 		// Atomic like every other artifact: a driver killed mid-write
 		// must never leave a torn spec for a resume rerun to trip on.
-		if err := writeFileAtomic(specPath, append(data, '\n')); err != nil {
-			return nil, none, fmt.Errorf("dispatch: %w", err)
+		err := experiment.WriteFileAtomic(specPath, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(shSpec)
+		})
+		if err != nil {
+			return nil, none, fmt.Errorf("dispatch: shard %d spec: %w", n, err)
 		}
 		f.specs[i] = specPath
 	}
@@ -428,35 +429,6 @@ func Run(ctx context.Context, spec sim.CampaignSpec, opts Options) (*experiment.
 		return nil, none, fmt.Errorf("dispatch: merging fleet manifests: %w", err)
 	}
 	return manifest, mergedSpec, nil
-}
-
-// writeFileAtomic lands data at path via temp-file-and-rename, so a
-// reader (or a killed writer) sees the old content or the new, never a
-// prefix.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // blockName labels shard i's artifacts.

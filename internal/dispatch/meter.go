@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"wsncover/internal/telemetry"
 )
 
 // meterThrottle is the minimum interval between non-final redraws; it
@@ -243,4 +245,50 @@ func shardCell(s ShardStatus, now time.Time) string {
 		}
 	}
 	return cell
+}
+
+// Publish returns an Options.OnProgress observer that feeds the fleet's
+// snapshots to a telemetry dashboard publisher, throttled by the
+// publisher's cadence; terminal snapshots always go out. The wire
+// conversion lives here because telemetry must not import dispatch.
+func Publish(pub *telemetry.Publisher) func(FleetSnapshot) {
+	return func(s FleetSnapshot) {
+		final := s.Terminal()
+		if !pub.Due(final) {
+			return
+		}
+		pub.Publish(s.Fleet, shardViews(s.Shards), groupViews(s.Groups), final)
+	}
+}
+
+func shardViews(shards []ShardStatus) []telemetry.ShardView {
+	now := time.Now()
+	out := make([]telemetry.ShardView, len(shards))
+	for i, s := range shards {
+		out[i] = telemetry.ShardView{
+			Shard:    s.Shard,
+			State:    s.State.String(),
+			Done:     s.Progress.Done,
+			Total:    s.Progress.Total,
+			Attempts: s.Attempts,
+			Slot:     s.Slot,
+			Leases:   s.Leases,
+			BeatAgeS: -1,
+		}
+		if s.Attempts > 1 {
+			out[i].Retries = s.Attempts - 1
+		}
+		if !s.LastBeat.IsZero() {
+			out[i].BeatAgeS = now.Sub(s.LastBeat).Seconds()
+		}
+	}
+	return out
+}
+
+func groupViews(groups []GroupProgress) []telemetry.GroupView {
+	out := make([]telemetry.GroupView, len(groups))
+	for i, g := range groups {
+		out[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
+	}
+	return out
 }

@@ -60,17 +60,24 @@ func (m *Manifest) Save(dir string) (string, error) {
 	return path, m.WriteAtomic(path)
 }
 
-// WriteAtomic atomically replaces path with the serialized manifest
-// (unique temp file in the same directory + rename). Concurrent writers
-// of identical content — duplicate attempts of a deterministic shard —
-// are safe: each rename installs a complete manifest.
-func (m *Manifest) WriteAtomic(path string) error {
+// WriteAtomic atomically replaces path with the serialized manifest.
+// Concurrent writers of identical content — duplicate attempts of a
+// deterministic shard — are safe: each rename installs a complete
+// manifest.
+func (m *Manifest) WriteAtomic(path string) error { return WriteFileAtomic(path, m.Write) }
+
+// WriteFileAtomic replaces path with what write produces, via a
+// uniquely named temp file in the same directory renamed over the
+// target, so a reader (or a writer killed mid-write) sees the old
+// content or the new, never a prefix. The file is world-readable
+// (0644), like os.WriteFile's usual mode.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("experiment: %w", err)
 	}
 	tmp := f.Name()
-	if err := m.Write(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

@@ -1,33 +1,37 @@
 package sweepd
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
+	"wsncover/internal/campaign"
 	"wsncover/internal/dispatch"
-	"wsncover/internal/experiment"
-	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
 )
 
-// execute runs one campaign to a manifest installed in the store. It
-// returns the stored manifest path and how many trials this run
-// executed (for the ledger; a resumed run is not credited with cells
-// its checkpoint already carried). Cancellation (drain) surfaces as
-// context.Canceled; the checkpoint left in the campaign's run
-// directory seeds the next submission of the same spec.
-func (d *Daemon) execute(c *Campaign) (string, int, error) {
+// execute runs one campaign to a manifest put in the store. It returns
+// the stored manifest path and the run's result for the ledger (finish
+// fills in its name and spec).
+// Cancellation (drain) surfaces as context.Canceled; the checkpoint
+// left in the campaign's run directory seeds the next submission of the
+// same spec.
+func (d *Daemon) execute(c *Campaign) (string, campaign.Result, error) {
 	runDir, err := d.store.RunDir(c.SpecHash)
 	if err != nil {
-		return "", 0, err
+		return "", campaign.Result{}, err
 	}
+	run := d.executeInProcess
 	if d.opts.FleetSlots > 1 {
-		return d.executeFleet(c, runDir)
+		run = d.executeFleet
 	}
-	return d.executeInProcess(c, runDir)
+	path, res, err := run(c, runDir)
+	if err == nil {
+		// The manifest is in the store: the run directory (checkpoint, a
+		// fleet's shard artifacts) is only a drained run's resume state.
+		os.RemoveAll(runDir)
+	}
+	return path, res, err
 }
 
 // testTrialHook, when non-nil, observes every completed trial of an
@@ -36,186 +40,42 @@ func (d *Daemon) execute(c *Campaign) (string, int, error) {
 // for wall-clock racing.
 var testTrialHook func(c *Campaign, ran int)
 
-// cellKey identifies one aggregated campaign cell (group, X).
-type cellKey struct {
-	group string
-	x     float64
-}
-
-// ckpt rewrites the campaign's checkpoint manifest atomically after
-// every completed cell — the same contract cmd/sweep -checkpoint
-// honors, so a drained daemon run and a killed CLI run leave
-// indistinguishable resume state.
-type ckpt struct {
-	path      string
-	name      string
-	spec      sim.CampaignSpec
-	prior     []experiment.Point
-	priorJobs int
-	acc       *experiment.Accumulator
-	cellTotal map[cellKey]int
-	cellDone  map[cellKey]int
-	completed map[cellKey]bool
-	doneJobs  int
-}
-
-func (k *ckpt) trialDone(key cellKey) error {
-	k.cellDone[key]++
-	if k.cellDone[key] < k.cellTotal[key] {
-		return nil
-	}
-	k.completed[key] = true
-	k.doneJobs += k.cellTotal[key]
-	pts := make([]experiment.Point, 0, len(k.completed))
-	for _, p := range k.acc.Points() {
-		if k.completed[cellKey{p.Group, p.X}] {
-			pts = append(pts, p)
-		}
-	}
-	pts = mergePoints(k.prior, pts)
-	manifest, err := experiment.NewManifest(k.name, k.spec, k.priorJobs+k.doneJobs, k.spec.Workers, pts)
-	if err != nil {
-		return err
-	}
-	return manifest.WriteAtomic(k.path)
-}
-
-// mergePoints combines retained prior points with fresh ones in the
-// canonical (group, X) order; the resume filter keeps them disjoint.
-func mergePoints(prior, fresh []experiment.Point) []experiment.Point {
-	merged := make([]experiment.Point, 0, len(prior)+len(fresh))
-	merged = append(merged, prior...)
-	merged = append(merged, fresh...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Group != merged[j].Group {
-			return merged[i].Group < merged[j].Group
-		}
-		return merged[i].X < merged[j].X
-	})
-	return merged
-}
-
-// loadCheckpoint reads a prior checkpoint manifest for this campaign,
-// verifying that its embedded spec re-hashes to the campaign's hash (a
-// stale or foreign file is ignored rather than merged), and returns
-// its points and completed-cell set.
-func (d *Daemon) loadCheckpoint(path, wantHash string, cellTotal map[cellKey]int) ([]experiment.Point, map[cellKey]bool) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil
-	}
-	gotHash, err := readManifestSpecHash(path)
-	if err != nil || gotHash != wantHash {
-		d.log.Warn("ignoring checkpoint with mismatched spec", "path", path, "got", gotHash, "want", wantHash)
-		return nil, nil
-	}
-	var prior experiment.Manifest
-	if err := json.Unmarshal(data, &prior); err != nil {
-		d.log.Warn("ignoring unreadable checkpoint", "path", path, "err", err)
-		return nil, nil
-	}
-	done := make(map[cellKey]bool, len(prior.Points))
-	var points []experiment.Point
-	for _, p := range prior.Points {
-		k := cellKey{p.Group, p.X}
-		if _, ok := cellTotal[k]; !ok {
-			continue // a cell outside this spec's job space
-		}
-		points = append(points, p)
-		done[k] = true
-	}
-	if len(done) > 0 {
-		d.log.Info("resuming from checkpoint", "path", path, "cells", len(done))
-	}
-	return points, done
-}
-
 // executeInProcess runs the campaign on the embedded engine — no
-// subprocess, the daemon is the worker. The manifest construction
-// mirrors cmd/sweep exactly (same name, spec, NumJobs accounting, and
-// worker count), so the stored manifest is byte-identical to what the
-// CLI writes for the same submission.
-func (d *Daemon) executeInProcess(c *Campaign, runDir string) (string, int, error) {
-	spec := c.Spec
+// subprocess, the daemon is the worker — through the campaign runner
+// cmd/sweep uses, so the stored manifest is byte-identical to what the
+// CLI writes for the same submission. A checkpoint whose embedded spec
+// does not re-hash to the campaign's (a stale or foreign file) is
+// skipped with a warning rather than merged.
+func (d *Daemon) executeInProcess(c *Campaign, runDir string) (string, campaign.Result, error) {
 	ckPath := filepath.Join(runDir, "checkpoint.json")
-
-	cellTotal := make(map[cellKey]int)
-	spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-		cellTotal[cellKey{j.Group(), float64(j.Spares)}]++
-	})
-	priorPoints, done := d.loadCheckpoint(ckPath, c.SpecHash, cellTotal)
-	var keep func(sim.TrialJob) bool
-	if len(done) > 0 {
-		keep = func(j sim.TrialJob) bool {
-			return !done[cellKey{j.Group(), float64(j.Spares)}]
+	prior, err := campaign.LoadPrior(ckPath, c.Spec)
+	if err == nil && prior != nil {
+		if got, herr := telemetry.SpecHash(prior.Spec); herr != nil || got != c.SpecHash {
+			err = fmt.Errorf("mismatched spec hash %q", got)
 		}
 	}
-	priorJobs := 0
-	for k := range done {
-		priorJobs += cellTotal[k]
+	if err != nil {
+		d.log.Warn("ignoring checkpoint", "path", ckPath, "err", err)
+		prior = nil
 	}
-
-	executed := 0
-	groupTotal := make(map[string]int)
-	var groupOrder []string
-	spec.ExecutedJobs(keep, func(j sim.TrialJob) {
-		executed++
-		g := j.Group()
-		if _, ok := groupTotal[g]; !ok {
-			groupOrder = append(groupOrder, g)
+	plan := campaign.NewPlan(c.Name, c.Spec, prior)
+	if plan.Resumed > 0 {
+		d.log.Info("resuming from checkpoint", "path", ckPath, "cells", plan.Resumed)
+	}
+	tracker := telemetry.NewTracker(telemetry.NewPublisher(c.hub), plan.Executed, plan.GroupOrder, plan.GroupTotal)
+	res, err := plan.Run(d.ctx, ckPath, func(group string, ran int) error {
+		tracker.TrialDone(group)
+		if testTrialHook != nil {
+			testTrialHook(c, ran)
 		}
-		groupTotal[g]++
+		return nil
 	})
-
-	pub := telemetry.NewPublisher(c.hub)
-	tracker := telemetry.NewTracker(pub, executed, groupOrder, groupTotal)
-	acc := experiment.NewAccumulator()
-	ck := &ckpt{
-		path:      ckPath,
-		name:      c.Name,
-		spec:      spec,
-		prior:     priorPoints,
-		priorJobs: priorJobs,
-		acc:       acc,
-		cellTotal: cellTotal,
-		cellDone:  make(map[cellKey]int, len(cellTotal)),
-		completed: make(map[cellKey]bool, len(cellTotal)),
-	}
-
-	ran := 0
-	err := sim.RunCampaignSubset(d.ctx, spec, experiment.Options{Workers: spec.Workers}, keep,
-		func(j sim.TrialJob, s experiment.Sample) error {
-			acc.Add(s)
-			ran++
-			tracker.TrialDone(j.Group())
-			if err := ck.trialDone(cellKey{j.Group(), float64(j.Spares)}); err != nil {
-				return err
-			}
-			if testTrialHook != nil {
-				testTrialHook(c, ran)
-			}
-			return nil
-		})
 	tracker.Final()
 	if err != nil {
-		return "", ran, err
+		return "", res, err
 	}
-
-	points := mergePoints(priorPoints, acc.Points())
-	manifest, err := experiment.NewManifest(c.Name, spec, spec.NumJobs(), spec.Workers, points)
-	if err != nil {
-		return "", ran, err
-	}
-	local, err := manifest.Save(runDir)
-	if err != nil {
-		return "", ran, err
-	}
-	stored, err := d.store.Install(c.SpecHash, local)
-	if err != nil {
-		return "", ran, err
-	}
-	os.Remove(ckPath)
-	return stored, ran, nil
+	stored, err := d.store.Put(c.SpecHash, res.Manifest)
+	return stored, res, err
 }
 
 // executeFleet runs the campaign as a dispatch fleet of WorkerBin
@@ -223,69 +83,19 @@ func (d *Daemon) executeInProcess(c *Campaign, runDir string) (string, int, erro
 // campaign's hub. Shard artifacts and checkpoints land in the
 // campaign's run directory; Resume is always on, so a drained fleet's
 // surviving shards seed the next submission.
-func (d *Daemon) executeFleet(c *Campaign, runDir string) (string, int, error) {
-	pub := telemetry.NewPublisher(c.hub)
-	opts := dispatch.Options{
-		Slots:  d.opts.FleetSlots,
-		OutDir: runDir,
-		Name:   c.Name,
-		Resume: true,
-		Worker: []string{d.opts.WorkerBin},
-		Logger: d.log.With("campaign", c.ID),
-		OnProgress: func(s dispatch.FleetSnapshot) {
-			final := s.Terminal()
-			if !pub.Due(final) {
-				return
-			}
-			pub.Publish(s.Fleet, fleetShardViews(s.Shards), fleetGroupViews(s.Groups), final)
-		},
-	}
-	manifest, _, err := dispatch.Run(d.ctx, c.Spec, opts)
+func (d *Daemon) executeFleet(c *Campaign, runDir string) (string, campaign.Result, error) {
+	manifest, _, err := dispatch.Run(d.ctx, c.Spec, dispatch.Options{
+		Slots:      d.opts.FleetSlots,
+		OutDir:     runDir,
+		Name:       c.Name,
+		Resume:     true,
+		Worker:     []string{d.opts.WorkerBin},
+		Logger:     d.log.With("campaign", c.ID),
+		OnProgress: dispatch.Publish(telemetry.NewPublisher(c.hub)),
+	})
 	if err != nil {
-		return "", 0, err
+		return "", campaign.Result{}, err
 	}
-	local, err := manifest.Save(runDir)
-	if err != nil {
-		return "", 0, err
-	}
-	stored, err := d.store.Install(c.SpecHash, local)
-	if err != nil {
-		return "", 0, err
-	}
-	return stored, manifest.Jobs, nil
-}
-
-// fleetShardViews and fleetGroupViews convert dispatch snapshot
-// vectors to telemetry wire shapes — duplicated from cmd/sweep because
-// telemetry must not import dispatch; this package may import both.
-func fleetShardViews(shards []dispatch.ShardStatus) []telemetry.ShardView {
-	now := time.Now()
-	out := make([]telemetry.ShardView, len(shards))
-	for i, s := range shards {
-		out[i] = telemetry.ShardView{
-			Shard:    s.Shard,
-			State:    s.State.String(),
-			Done:     s.Progress.Done,
-			Total:    s.Progress.Total,
-			Attempts: s.Attempts,
-			Slot:     s.Slot,
-			Leases:   s.Leases,
-			BeatAgeS: -1,
-		}
-		if s.Attempts > 1 {
-			out[i].Retries = s.Attempts - 1
-		}
-		if !s.LastBeat.IsZero() {
-			out[i].BeatAgeS = now.Sub(s.LastBeat).Seconds()
-		}
-	}
-	return out
-}
-
-func fleetGroupViews(groups []dispatch.GroupProgress) []telemetry.GroupView {
-	out := make([]telemetry.GroupView, len(groups))
-	for i, g := range groups {
-		out[i] = telemetry.GroupView{Group: g.Group, Done: g.Done, Total: g.Total}
-	}
-	return out
+	stored, err := d.store.Put(c.SpecHash, manifest)
+	return stored, campaign.Result{Manifest: manifest, Ran: manifest.Jobs}, err
 }

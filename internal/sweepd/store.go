@@ -15,13 +15,13 @@
 package sweepd
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
@@ -33,7 +33,7 @@ import (
 //	<dir>/ledger.ndjson                 the run ledger (telemetry.Record)
 //
 // Keys are telemetry.SpecHash values ("sha256:<64 hex>"). Only full,
-// unsharded campaign manifests are installed — Daemon.Submit enforces
+// unsharded campaign manifests are stored — Daemon.Submit enforces
 // that with sim.CampaignSpec.ValidateUnsharded, because the hash
 // deliberately ignores shard layout and a partial manifest stored
 // under the full campaign's key would poison every later cache hit.
@@ -58,8 +58,8 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) LedgerPath() string { return filepath.Join(s.dir, "ledger.ndjson") }
 
 // RunDir returns (creating if needed) the working directory for the
-// campaign with the given spec hash — checkpoints and in-flight
-// manifests live here, outside the manifests/ namespace, so a crashed
+// campaign with the given spec hash — checkpoints (and a fleet's shard
+// artifacts) live here, outside the manifests/ namespace, so a crashed
 // run never pollutes the store with a partial artifact.
 func (s *Store) RunDir(hash string) (string, error) {
 	hex, err := hashHex(hash)
@@ -107,22 +107,18 @@ func (s *Store) Get(hash string) (string, bool) {
 	return path, true
 }
 
-// Install copies the manifest at src into the store under hash,
-// atomically (temp + rename), and returns the stored path. Installing
-// the same hash twice is fine: determinism guarantees the bytes match,
-// and the rename just replaces like with like.
-func (s *Store) Install(hash, src string) (string, error) {
+// Put writes a completed campaign manifest into the store under hash,
+// atomically, and returns the stored path. Putting the same hash twice
+// is fine: determinism guarantees the bytes match, and the rename just
+// replaces like with like.
+func (s *Store) Put(hash string, m *experiment.Manifest) (string, error) {
 	hex, err := hashHex(hash)
 	if err != nil {
 		return "", err
 	}
-	data, err := os.ReadFile(src)
-	if err != nil {
-		return "", fmt.Errorf("sweepd: store install: %w", err)
-	}
 	dst := s.manifestPath(hex)
-	if err := writeFileAtomic(dst, data); err != nil {
-		return "", fmt.Errorf("sweepd: store install: %w", err)
+	if err := m.WriteAtomic(dst); err != nil {
+		return "", fmt.Errorf("sweepd: store put: %w", err)
 	}
 	return dst, nil
 }
@@ -193,49 +189,4 @@ func (s *Store) List() ([]Entry, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SpecHash < out[j].SpecHash })
 	return out, nil
-}
-
-// writeFileAtomic lands data at path via temp-file-and-rename, so a
-// reader never observes a torn manifest.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Chmod(tmp, 0o644); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
-// readManifestSpecHash re-derives the spec hash of the manifest at
-// path from its embedded spec — the integrity check the runner applies
-// to a checkpoint before resuming from it.
-func readManifestSpecHash(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var m struct {
-		Spec json.RawMessage `json:"spec"`
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return "", fmt.Errorf("sweepd: manifest %s: %w", path, err)
-	}
-	return telemetry.SpecHash(m.Spec)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wsncover/internal/experiment"
 	"wsncover/internal/telemetry"
 )
 
@@ -40,18 +41,24 @@ func TestStoreInstallGetResolveList(t *testing.T) {
 		t.Fatal("empty store reported a hit")
 	}
 
-	src := filepath.Join(t.TempDir(), "m.json")
-	if err := os.WriteFile(src, []byte(`{"name":"x","jobs":1,"workers":0,"points":[]}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pathA, err := store.Install(hashA, src)
+	m := &experiment.Manifest{Name: "x", Jobs: 1, Points: []experiment.Point{}}
+	pathA, err := store.Put(hashA, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := store.Get(hashA); !ok || got != pathA {
 		t.Fatalf("Get(%s) = %q, %v; want %q, true", hashA, got, ok, pathA)
 	}
-	if _, err := store.Install(hashB, src); err != nil {
+	if data, err := os.ReadFile(pathA); err != nil || string(data) != `{
+  "name": "x",
+  "jobs": 1,
+  "workers": 0,
+  "points": []
+}
+` {
+		t.Errorf("stored manifest = %q, %v; want the indented manifest bytes", data, err)
+	}
+	if _, err := store.Put(hashB, m); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"wsncover/internal/campaign"
 	"wsncover/internal/sim"
 	"wsncover/internal/telemetry"
 )
@@ -346,7 +347,7 @@ func (d *Daemon) runnerLoop() {
 	defer d.wg.Done()
 	for c := range d.queue {
 		if d.ctx.Err() != nil {
-			d.finish(c, StatusAborted, "", 0, fmt.Errorf("queued campaign aborted by drain"))
+			d.finish(c, "", campaign.Result{}, fmt.Errorf("queued campaign aborted by drain: %w", context.Canceled))
 			continue
 		}
 		d.mu.Lock()
@@ -354,29 +355,37 @@ func (d *Daemon) runnerLoop() {
 		c.Started = time.Now().UTC()
 		d.mu.Unlock()
 		d.log.Info("campaign started", "id", c.ID, "name", c.Name, "spec_hash", c.SpecHash)
-		path, ran, err := d.execute(c)
-		switch {
-		case err == nil:
-			d.finish(c, StatusCompleted, path, ran, nil)
-		case errors.Is(err, context.Canceled):
-			d.finish(c, StatusAborted, "", ran, err)
-		default:
-			d.finish(c, StatusFailed, "", ran, err)
-		}
+		path, res, err := d.execute(c)
+		d.finish(c, path, res, err)
 	}
 }
 
-// finish moves a campaign to its terminal status, releases its
-// in-flight slot, closes its hub and done channel, and appends the
-// ledger record. The ledger gets every outcome — completed, failed,
-// aborted — so the store's run history shows unhealthy runs too; ran
-// is the trial count this run actually executed (a resumed run is not
-// credited with checkpointed cells, an aborted one records its partial
-// progress honestly).
-func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runErr error) {
+// finish appends the campaign's ledger record, then moves it to its
+// terminal status (campaign.Status of runErr), releases its in-flight
+// slot, and closes its hub and done channel. In that order: a campaign
+// seen "completed" already has its manifest in the store (execute put
+// it there) and its record in the ledger. The ledger gets every outcome
+// — completed, failed, aborted — so the store's run history shows
+// unhealthy runs too; a resumed run is credited only with the trials it
+// executed, an aborted one records its partial progress honestly.
+func (d *Daemon) finish(c *Campaign, manifestPath string, res campaign.Result, runErr error) {
+	finished := time.Now().UTC()
+	res.Name, res.Spec = c.Name, c.Spec
+	// Started is written by this runner goroutine, so reading it here
+	// needs no lock.
+	if !c.Started.IsZero() {
+		res.Wall = finished.Sub(c.Started)
+	}
+	status := campaign.Status(runErr)
+	rec := res.Record("sweepd", manifestPath, runErr)
+	rec.Time, rec.SpecHash = finished, c.SpecHash
+	if err := telemetry.AppendRecord(d.store.LedgerPath(), rec); err != nil {
+		d.log.Error("ledger append failed", "path", d.store.LedgerPath(), "err", err)
+	}
+
 	d.mu.Lock()
 	c.Status = status
-	c.Finished = time.Now().UTC()
+	c.Finished = finished
 	if manifestPath != "" {
 		c.ManifestPath = manifestPath
 	}
@@ -390,41 +399,9 @@ func (d *Daemon) finish(c *Campaign, status, manifestPath string, ran int, runEr
 	}
 	close(c.done)
 
-	wall := 0.0
-	if !c.Started.IsZero() {
-		wall = c.Finished.Sub(c.Started).Seconds()
-	}
-	rec := telemetry.Record{
-		Time:     c.Finished,
-		Name:     c.Name,
-		Mode:     "sweepd",
-		Status:   status,
-		SpecHash: c.SpecHash,
-		Manifest: c.ManifestPath,
-		Jobs:     ran,
-		Workers:  c.Spec.Workers,
-		WallS:    wall,
-	}
-	if status == StatusCompleted {
-		// Like cmd/sweep: a completed manifest accounts for the whole
-		// campaign, resumed-over cells included; the rate credits only
-		// the trials this run executed.
-		rec.Jobs = c.Spec.NumJobs()
-		cells := make(map[cellKey]struct{})
-		c.Spec.ExecutedJobs(nil, func(j sim.TrialJob) {
-			cells[cellKey{j.Group(), float64(j.Spares)}] = struct{}{}
-		})
-		rec.Points = len(cells)
-	}
-	if wall > 0 && ran > 0 {
-		rec.TrialsPerS = float64(ran) / wall
-	}
-	if err := telemetry.AppendRecord(d.store.LedgerPath(), rec); err != nil {
-		d.log.Error("ledger append failed", "path", d.store.LedgerPath(), "err", err)
-	}
 	switch status {
 	case StatusCompleted:
-		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", c.ManifestPath, "wall_s", wall)
+		d.log.Info("campaign completed", "id", c.ID, "name", c.Name, "manifest", manifestPath, "wall_s", rec.WallS)
 	default:
 		d.log.Warn("campaign ended unhealthy", "id", c.ID, "name", c.Name, "status", status, "err", c.Err)
 	}

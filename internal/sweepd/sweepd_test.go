@@ -575,3 +575,63 @@ func TestNewValidatesFleetOptions(t *testing.T) {
 		t.Error("nil store must be rejected")
 	}
 }
+
+// TestCompletedIsDurable pins the order of Daemon.finish: by the time
+// Wait returns for a completed campaign — as early as any client can
+// see "completed" — the store holds its manifest and the ledger its
+// completed record.
+func TestCompletedIsDurable(t *testing.T) {
+	d, store := newTestDaemon(t, Options{})
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := smallSpec()
+		spec.BaseSeed = seed
+		v, created, err := d.Submit(mustJSON(t, spec), "")
+		if err != nil || !created {
+			t.Fatalf("Submit = %+v, %v, %v", v, created, err)
+		}
+		if !d.Wait(context.Background(), v.ID) {
+			t.Fatal("Wait returned false for a known campaign")
+		}
+		recs, err := telemetry.ReadLedger(store.LedgerPath())
+		if err != nil {
+			t.Fatalf("ledger right after Wait: %v", err)
+		}
+		ledgered := false
+		for _, r := range recs {
+			ledgered = ledgered || (r.SpecHash == v.SpecHash && r.Status == telemetry.StatusCompleted)
+		}
+		if !ledgered {
+			t.Errorf("campaign %d: no completed ledger record when Wait returned", v.ID)
+		}
+		if _, ok := store.Get(v.SpecHash); !ok {
+			t.Errorf("campaign %d: no stored manifest when Wait returned", v.ID)
+		}
+		if got, _ := d.Campaign(v.ID); got.Status != StatusCompleted {
+			t.Errorf("campaign %d ended %q (err %q), want completed", v.ID, got.Status, got.Error)
+		}
+	}
+}
+
+// TestInProcessCompletionLeavesNoRunFiles: a completed in-process
+// campaign's manifest is written once, straight into manifests/; its
+// runs/ directory, which only a drained run's checkpoint needs, is
+// gone.
+func TestInProcessCompletionLeavesNoRunFiles(t *testing.T) {
+	d, store := newTestDaemon(t, Options{})
+	v, _, err := d.Submit(mustJSON(t, multiCellSpec()), "once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Wait(context.Background(), v.ID)
+	if got, _ := d.Campaign(v.ID); got.Status != StatusCompleted {
+		t.Fatalf("campaign ended %q (err %q), want completed", got.Status, got.Error)
+	}
+	runDir := filepath.Join(store.Dir(), "runs", strings.TrimPrefix(v.SpecHash, "sha256:"))
+	if entries, err := os.ReadDir(runDir); err == nil && len(entries) > 0 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Errorf("runs/ still holds %v for the completed campaign", names)
+	}
+}
